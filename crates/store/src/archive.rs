@@ -15,6 +15,7 @@
 //! line that fails its length/hash check is corruption, not truncation, and
 //! is a hard error.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -25,7 +26,6 @@ use serde::json::{get_field, DeError, JsonValue};
 use serde::{Deserialize, Serialize};
 
 use crate::hash::content_hash;
-use crate::index::{Index, IndexEntry};
 use crate::record::{Payload, RunRecord};
 
 /// File name of the archive journal inside the store directory.
@@ -194,14 +194,6 @@ pub fn parse_record_line(line: &str) -> Result<RunRecord, DeError> {
     Ok(record)
 }
 
-/// One run plus where its line lives in the journal.
-#[derive(Debug, Clone)]
-struct StoredRun {
-    record: RunRecord,
-    offset: u64,
-    bytes: u64,
-}
-
 /// One complete line that failed parsing or its integrity check, located
 /// precisely so the damage can be inspected with a hex editor or `dd`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -260,7 +252,11 @@ pub struct CompactionReport {
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
-    runs: Vec<StoredRun>,
+    runs: Vec<RunRecord>,
+    /// Label → position in `runs` of the first run archived under it.
+    by_label: HashMap<String, usize>,
+    /// One past the highest `seq` archived (0 when empty).
+    next_seq: u64,
     /// Byte length of the valid journal prefix (meta line + every intact
     /// record line). Anything past this is a torn tail, dropped on the next
     /// append.
@@ -273,8 +269,8 @@ impl Store {
     ///
     /// A torn final line — the signature of a kill mid-append — is
     /// tolerated: the valid prefix loads and the tail is dropped on the
-    /// next append. Corruption anywhere else is a hard error. The index
-    /// sidecar is rebuilt whenever it is missing or stale.
+    /// next append. Corruption anywhere else is a hard error. Only the
+    /// journal is read; other files in `dir` are left alone.
     ///
     /// # Errors
     ///
@@ -284,21 +280,37 @@ impl Store {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(io_err(&dir))?;
         let path = dir.join(ARCHIVE_FILE);
-        if !path.exists() {
-            let mut f = std::fs::File::create(&path).map_err(io_err(&path))?;
-            writeln!(f, "{}", meta_line_text()).map_err(io_err(&path))?;
-            f.sync_all().map_err(io_err(&path))?;
-        }
-        let text = std::fs::read_to_string(&path).map_err(io_err(&path))?;
+        let text = if path.exists() {
+            std::fs::read_to_string(&path).map_err(io_err(&path))?
+        } else {
+            // No fsync: a meta line lost to a crash (missing, empty or torn
+            // file) reopens as the empty archive it was, and the first
+            // append's `sync_all` makes it durable along with that run.
+            let text = format!("{}\n", meta_line_text());
+            std::fs::write(&path, &text).map_err(io_err(&path))?;
+            text
+        };
         let mut store = Store {
             dir,
             runs: Vec::new(),
+            by_label: HashMap::new(),
+            next_seq: 0,
             valid_len: 0,
             torn: false,
         };
         store.parse_journal(&path, &text)?;
-        store.refresh_index()?;
         Ok(store)
+    }
+
+    /// Adds a run already on disk to the in-memory state.
+    fn push(&mut self, record: RunRecord) {
+        if let Some(label) = &record.label {
+            self.by_label
+                .entry(label.clone())
+                .or_insert(self.runs.len());
+        }
+        self.next_seq = self.next_seq.max(record.seq + 1);
+        self.runs.push(record);
     }
 
     fn parse_journal(&mut self, path: &Path, text: &str) -> Result<(), StoreError> {
@@ -357,11 +369,7 @@ impl Store {
                 offset: *line_offset as u64,
                 message: e.to_string(),
             })?;
-            self.runs.push(StoredRun {
-                record,
-                offset: *line_offset as u64,
-                bytes: (line.len() + 1) as u64,
-            });
+            self.push(record);
             self.valid_len = (*line_offset + line.len() + 1) as u64;
         }
         Ok(())
@@ -394,19 +402,30 @@ impl Store {
 
     /// All archived runs, in append order.
     pub fn runs(&self) -> impl Iterator<Item = &RunRecord> {
-        self.runs.iter().map(|s| &s.record)
+        self.runs.iter()
     }
 
     /// The most recently archived run.
     pub fn latest(&self) -> Option<&RunRecord> {
-        self.runs.last().map(|s| &s.record)
+        self.runs.last()
+    }
+
+    /// The first run archived under `label`, in O(1).
+    pub fn find_label(&self, label: &str) -> Option<&RunRecord> {
+        self.by_label.get(label).map(|&i| &self.runs[i])
+    }
+
+    /// One past the highest archived `seq` — the `seq` [`Store::append`]
+    /// gives the next run, whatever order earlier runs were appended in.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
     }
 
     /// The last `n` archived runs (fewer when the archive is shorter), in
     /// append order.
     pub fn last_n(&self, n: usize) -> Vec<&RunRecord> {
         let start = self.runs.len().saturating_sub(n.max(1));
-        self.runs[start..].iter().map(|s| &s.record).collect()
+        self.runs[start..].iter().collect()
     }
 
     /// Finds a run by id prefix (at least one hex character) or exact
@@ -417,17 +436,12 @@ impl Store {
     /// [`StoreError::UnknownRun`] when nothing matches,
     /// [`StoreError::AmbiguousRun`] when an id prefix matches several runs.
     pub fn get(&self, reference: &str) -> Result<&RunRecord, StoreError> {
-        if let Some(run) = self
-            .runs
-            .iter()
-            .find(|s| s.record.label.as_deref() == Some(reference))
-        {
-            return Ok(&run.record);
+        if let Some(run) = self.find_label(reference) {
+            return Ok(run);
         }
         let matches: Vec<&RunRecord> = self
             .runs
             .iter()
-            .map(|s| &s.record)
             .filter(|r| r.id.starts_with(reference))
             .collect();
         match matches.as_slice() {
@@ -442,9 +456,9 @@ impl Store {
         }
     }
 
-    /// Archives one run: builds the content-addressed record, appends its
-    /// line (dropping any torn tail first), fsyncs, and refreshes the
-    /// index. Returns the stored record.
+    /// Archives one run under [`Store::next_seq`]: builds the
+    /// content-addressed record, appends its line (dropping any torn tail
+    /// first) and fsyncs. Returns the stored record.
     ///
     /// # Errors
     ///
@@ -455,8 +469,7 @@ impl Store {
         config: &ExperimentConfig,
         measurements: Vec<BenchmarkMeasurement>,
     ) -> Result<&RunRecord, StoreError> {
-        let seq = self.runs.last().map(|s| s.record.seq + 1).unwrap_or(0);
-        self.append_at_seq(seq, label, config, measurements)
+        self.append_at_seq(self.next_seq, label, config, measurements)
     }
 
     /// Archives one run under an explicit sequence number instead of the
@@ -483,13 +496,15 @@ impl Store {
     /// recomputed from its canonical payload when it was parsed
     /// ([`RunRecord::from_payload`]), so the line written here is
     /// byte-identical to the one the originating client would have written
-    /// locally.
+    /// locally. Costs one line write and one fsync, whatever the archive
+    /// size.
     ///
     /// # Errors
     ///
     /// I/O failures.
     pub fn append_record(&mut self, record: RunRecord) -> Result<&RunRecord, StoreError> {
-        let line = record_line(&record);
+        let mut line = record_line(&record);
+        line.push('\n');
         let path = self.journal_path();
 
         let mut file = std::fs::OpenOptions::new()
@@ -511,41 +526,14 @@ impl Store {
         }
         file.seek(SeekFrom::Start(self.valid_len))
             .map_err(io_err(&path))?;
-        writeln!(file, "{line}").map_err(io_err(&path))?;
+        file.write_all(line.as_bytes()).map_err(io_err(&path))?;
         // fsync per append: the whole point is surviving a kill.
         file.sync_all().map_err(io_err(&path))?;
 
-        let stored = StoredRun {
-            record,
-            offset: self.valid_len,
-            bytes: (line.len() + 1) as u64,
-        };
-        self.valid_len += stored.bytes;
+        self.valid_len += line.len() as u64;
         self.torn = false;
-        self.runs.push(stored);
-        self.refresh_index()?;
-        Ok(&self.runs.last().expect("just pushed").record)
-    }
-
-    /// The index the current in-memory state corresponds to.
-    fn index(&self) -> Index {
-        Index {
-            entries: self
-                .runs
-                .iter()
-                .map(|s| IndexEntry::of(&s.record, s.offset, s.bytes))
-                .collect(),
-        }
-    }
-
-    /// Rewrites the index sidecar if it is missing or disagrees with the
-    /// journal (the journal is always the source of truth).
-    fn refresh_index(&self) -> Result<(), StoreError> {
-        let want = self.index();
-        if Index::load(&self.dir).ok().as_ref() != Some(&want) {
-            want.write(&self.dir).map_err(io_err(&self.dir))?;
-        }
-        Ok(())
+        self.push(record);
+        Ok(self.runs.last().expect("just pushed"))
     }
 
     /// Re-reads the journal from disk and integrity-checks every line
@@ -606,8 +594,8 @@ impl Store {
 
     /// Rewrites the journal from the in-memory runs — dropping any torn
     /// tail and, when `keep_last` is given, all but the newest N runs —
-    /// then rebuilds the index. Atomic: written to a temp file, fsynced,
-    /// renamed over the journal.
+    /// then rebuilds the label map and next `seq` from the runs kept.
+    /// Atomic: written to a temp file, fsynced, renamed over the journal.
     ///
     /// # Errors
     ///
@@ -621,34 +609,26 @@ impl Store {
         let dropped = keep_from;
 
         let tmp = self.dir.join(format!("{ARCHIVE_FILE}.tmp"));
-        let mut kept: Vec<StoredRun> = Vec::with_capacity(self.runs.len() - keep_from);
+        let mut valid_len = (meta_line_text().len() + 1) as u64;
         {
             let mut f = std::fs::File::create(&tmp).map_err(io_err(&tmp))?;
             writeln!(f, "{}", meta_line_text()).map_err(io_err(&tmp))?;
-            let mut offset = (meta_line_text().len() + 1) as u64;
-            for s in &self.runs[keep_from..] {
-                let line = record_line(&s.record);
+            for record in &self.runs[keep_from..] {
+                let line = record_line(record);
                 writeln!(f, "{line}").map_err(io_err(&tmp))?;
-                let bytes = (line.len() + 1) as u64;
-                kept.push(StoredRun {
-                    record: s.record.clone(),
-                    offset,
-                    bytes,
-                });
-                offset += bytes;
+                valid_len += (line.len() + 1) as u64;
             }
             f.sync_all().map_err(io_err(&tmp))?;
         }
         std::fs::rename(&tmp, &path).map_err(io_err(&path))?;
 
-        self.runs = kept;
-        self.valid_len = self
-            .runs
-            .last()
-            .map(|s| s.offset + s.bytes)
-            .unwrap_or((meta_line_text().len() + 1) as u64);
+        let kept = self.runs.split_off(keep_from);
+        self.runs.clear();
+        self.by_label.clear();
+        self.next_seq = 0;
+        kept.into_iter().for_each(|record| self.push(record));
+        self.valid_len = valid_len;
         self.torn = false;
-        self.refresh_index()?;
         let bytes_after = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         Ok(CompactionReport {
             kept: self.runs.len(),
@@ -931,7 +911,11 @@ mod tests {
         let mut store = Store::open(&dir).unwrap();
         for i in 0..5 {
             store
-                .append(None, &config(), vec![measurement("a", 1.0 + f64::from(i))])
+                .append(
+                    Some(format!("r{}", i % 3)),
+                    &config(),
+                    vec![measurement("a", 1.0 + f64::from(i))],
+                )
                 .unwrap();
         }
         let report = store.compact(Some(2)).unwrap();
@@ -948,28 +932,157 @@ mod tests {
             .unwrap();
         assert_eq!(store.latest().unwrap().seq, 5);
 
+        // The label map is rebuilt from the kept runs: `r0`'s first holder
+        // (seq 0) is gone, so its next holder (seq 3) wins.
+        assert_eq!(store.find_label("r0").unwrap().seq, 3);
+        assert_eq!(store.find_label("r1").unwrap().seq, 4);
+        assert!(store.find_label("r2").is_none());
+
         let reopened = Store::open(&dir).unwrap();
         assert_eq!(reopened.len(), 3);
         assert!(reopened.verify().unwrap().is_clean());
-        let index = Index::load(&dir).unwrap();
-        assert_eq!(index.entries.len(), 3);
-        assert_eq!(index.entries[0].seq, 3);
+        assert_eq!(reopened.runs().next().unwrap().seq, 3);
+        assert_eq!(reopened.find_label("r0").unwrap().seq, 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Checks the label map and the next `seq` against scans in append
+    /// order, the reference they replace.
+    fn assert_lookups_match_scan(store: &Store, labels: &[&str]) {
+        for &label in labels {
+            let scan = store.runs().find(|r| r.label.as_deref() == Some(label));
+            assert_eq!(
+                store.find_label(label).map(|r| (&r.id, r.seq)),
+                scan.map(|r| (&r.id, r.seq)),
+                "label `{label}`"
+            );
+        }
+        let max_seq = store.runs().map(|r| r.seq + 1).max().unwrap_or(0);
+        assert_eq!(store.next_seq(), max_seq);
+    }
+
+    #[test]
+    fn find_label_matches_the_linear_scan() {
+        const LABELS: [&str; 5] = ["a", "b", "c", "d", "never-used"];
+        // splitmix64: a seeded stream of random label sequences.
+        let mut state = 0x5eed_u64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        for case in 0..6 {
+            let dir = temp_store(&format!("findlabel{case}"));
+            let mut store = Store::open(&dir).unwrap();
+            let n = 8 + next(10);
+            for i in 0..n {
+                // Four live labels plus unlabelled runs, so labels repeat.
+                let pick = next(5) as usize;
+                let label = (pick < 4).then(|| LABELS[pick].to_string());
+                let m = vec![measurement("a", 1.0 + i as f64)];
+                // Half the runs take an explicit, out-of-order seq.
+                if next(2) == 0 {
+                    store.append_at_seq(next(40), label, &config(), m).unwrap();
+                } else {
+                    store.append(label, &config(), m).unwrap();
+                }
+                assert_lookups_match_scan(&store, &LABELS);
+            }
+            let mut reopened = Store::open(&dir).unwrap();
+            assert_lookups_match_scan(&reopened, &LABELS);
+            let keep = 1 + next(n) as usize;
+            reopened.compact(Some(keep)).unwrap();
+            assert_lookups_match_scan(&reopened, &LABELS);
+            assert_lookups_match_scan(&Store::open(&dir).unwrap(), &LABELS);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn get_prefers_an_exact_label_over_an_id_prefix() {
+        let dir = temp_store("labelvsprefix");
+        let mut store = Store::open(&dir).unwrap();
+        let other = store
+            .append(None, &config(), vec![measurement("a", 1.0)])
+            .unwrap()
+            .id
+            .clone();
+        // A label that is also a unique prefix of another run's id.
+        let label = other[..6].to_string();
+        let labelled = store
+            .append(Some(label.clone()), &config(), vec![measurement("a", 2.0)])
+            .unwrap()
+            .id
+            .clone();
+        assert_ne!(labelled, other);
+        assert_eq!(store.get(&label).unwrap().id, labelled);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn stale_index_is_rebuilt_on_open() {
-        let dir = temp_store("staleindex");
+    fn append_after_out_of_order_seqs_takes_the_next_free_seq() {
+        let dir = temp_store("outoforder");
         let mut store = Store::open(&dir).unwrap();
-        store
-            .append(None, &config(), vec![measurement("a", 1.0)])
+        for seq in [3, 2] {
+            store
+                .append_at_seq(seq, None, &config(), vec![measurement("a", seq as f64)])
+                .unwrap();
+        }
+        let seq = store
+            .append(None, &config(), vec![measurement("a", 9.0)])
+            .unwrap()
+            .seq;
+        assert_eq!(seq, 4);
+        let mut reopened = Store::open(&dir).unwrap();
+        assert_eq!(reopened.next_seq(), 5);
+        let seqs: Vec<u64> = reopened.runs().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![3, 2, 4]);
+        reopened
+            .append(None, &config(), vec![measurement("a", 10.0)])
             .unwrap();
-        // Sabotage the sidecar; the journal stays authoritative.
-        std::fs::write(dir.join("index.json"), "{\"entries\":[]}\n").unwrap();
-        let _ = Store::open(&dir).unwrap();
-        let index = Index::load(&dir).unwrap();
-        assert_eq!(index.entries.len(), 1);
+        assert_eq!(reopened.latest().unwrap().seq, 5);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn legacy_index_sidecar_is_never_read_or_rewritten() {
+        let files = |dir: &Path| {
+            let mut names: Vec<String> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        // An older build kept an `index.json` beside the journal.
+        for (case, sidecar) in [
+            ("stale", &b"{\"entries\":[]}\n"[..]),
+            ("garbage", &b"\x00not json{{"[..]),
+        ] {
+            let dir = temp_store(&format!("legacy{case}"));
+            let mut store = Store::open(&dir).unwrap();
+            for i in 0..3 {
+                store
+                    .append(None, &config(), vec![measurement("a", 1.0 + f64::from(i))])
+                    .unwrap();
+            }
+            assert_eq!(files(&dir), [ARCHIVE_FILE]);
+            std::fs::write(dir.join("index.json"), sidecar).unwrap();
+
+            let mut store = Store::open(&dir).unwrap();
+            store
+                .append(Some("new".into()), &config(), vec![measurement("a", 9.0)])
+                .unwrap();
+            assert_eq!(store.len(), 4);
+            assert!(store.verify().unwrap().is_clean());
+            store.compact(Some(2)).unwrap();
+            assert!(Store::open(&dir).unwrap().verify().unwrap().is_clean());
+            assert_eq!(files(&dir), [ARCHIVE_FILE, "index.json"]);
+            assert_eq!(std::fs::read(dir.join("index.json")).unwrap(), sidecar);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

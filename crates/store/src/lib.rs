@@ -11,6 +11,9 @@
 //!
 //! 1. **Append-only.** Runs are never edited in place; the only mutation
 //!    besides append is [`Store::compact`], an atomic whole-file rewrite.
+//!    The journal is the only file: label lookups ([`Store::find_label`])
+//!    and the next free `seq` are in-memory state rebuilt at open, so an
+//!    append writes one line whatever the archive size.
 //! 2. **Content-addressed.** A run's id is the 128-bit digest of its
 //!    canonical payload bytes ([`hash::content_hash`]), so identical
 //!    measurements get identical ids and any corruption is detectable by
@@ -45,7 +48,6 @@ pub mod archive;
 pub mod baseline;
 pub mod hash;
 pub mod history;
-pub mod index;
 pub mod record;
 pub mod shared;
 
@@ -56,6 +58,5 @@ pub use archive::{
 pub use baseline::BaselineRef;
 pub use hash::content_hash;
 pub use history::{benchmark_history, benchmark_names, segment_baseline, trend_report};
-pub use index::{Index, IndexEntry, INDEX_FILE};
 pub use record::{ConfigFingerprint, HostMeta, RunRecord, RECORD_SCHEMA_VERSION};
 pub use shared::SharedStore;

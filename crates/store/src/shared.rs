@@ -11,7 +11,8 @@
 //!
 //! Idempotency: the completed-check and the append happen under one lock
 //! acquisition, so a cell replayed in a crash-recovery window is returned
-//! its existing receipt instead of being appended twice.
+//! its existing receipt instead of being appended twice. The check is a
+//! [`Store::find_label`] lookup, O(1) per cell.
 
 use std::sync::Mutex;
 
@@ -76,10 +77,7 @@ impl CellSink for SharedStore {
         let label = cell.id.canonical();
         // Check-then-append under one lock: replays return the original
         // receipt instead of duplicating the run.
-        if let Some(existing) = store
-            .runs()
-            .find(|r| r.label.as_deref() == Some(label.as_str()))
-        {
+        if let Some(existing) = store.find_label(&label) {
             return Ok(receipt(existing));
         }
         store
@@ -96,11 +94,7 @@ impl CellSink for SharedStore {
     fn completed_cell(&self, cell: &Cell) -> Result<Option<CellReceipt>, String> {
         let store = self.store.lock().expect("store lock poisoned");
         let label = cell.id.canonical();
-        let found = store
-            .runs()
-            .find(|r| r.label.as_deref() == Some(label.as_str()))
-            .map(receipt);
-        Ok(found)
+        Ok(store.find_label(&label).map(receipt))
     }
 
     fn archive_cell_precise(
@@ -111,10 +105,7 @@ impl CellSink for SharedStore {
     ) -> Result<CellReceipt, String> {
         let mut store = self.store.lock().expect("store lock poisoned");
         let label = cell.id.canonical();
-        if let Some(existing) = store
-            .runs()
-            .find(|r| r.label.as_deref() == Some(label.as_str()))
-        {
+        if let Some(existing) = store.find_label(&label) {
             return Ok(receipt(existing));
         }
         let record = RunRecord::new(
@@ -133,11 +124,7 @@ impl CellSink for SharedStore {
     fn completed_precision(&self, cell: &Cell) -> Result<Option<CellPrecision>, String> {
         let store = self.store.lock().expect("store lock poisoned");
         let label = cell.id.canonical();
-        let found = store
-            .runs()
-            .find(|r| r.label.as_deref() == Some(label.as_str()))
-            .and_then(|r| r.precision.clone());
-        Ok(found)
+        Ok(store.find_label(&label).and_then(|r| r.precision.clone()))
     }
 }
 
