@@ -196,7 +196,7 @@ pub enum Command {
     /// history (exit 0 = stable, 1 = significant shift at HEAD).
     Trend { benchmark: Option<String> },
     /// `rigor campaign` — execute a benchmarks × engines × variants × seeds
-    /// cell grid on a work-stealing worker pool, streaming each cell into
+    /// cell grid on a pool of worker threads, streaming each cell into
     /// the results archive.
     Campaign,
     /// `rigor plan` — precision-attainment report over an archived

@@ -1,72 +1,65 @@
-//! The campaign orchestrator: executes a cell grid on a work-stealing
-//! scheduler of std worker threads, streaming each completed cell into a
-//! [`CellSink`] and a campaign journal as it finishes.
+//! The campaign orchestrator: executes a cell grid on the crate's counter
+//! pool of std worker threads, streaming each cell into a [`CellSink`] and a
+//! campaign journal the moment its measurement is final.
 //!
-//! Scheduling model: the pending cells are dealt round-robin onto per-worker
-//! deques (worker *w* gets pending cells *w*, *w*+W, …). A worker pops from
-//! the **front** of its own deque; when empty it steals from the **back** of
-//! the longest other deque (emitting `cell_stolen`), so cells migrate from
-//! loaded workers to idle ones without a central queue lock on the hot path.
+//! Scheduling model: a run is a sequence of rounds, each a list of jobs —
+//! (cell, sample size) pairs — that the pool drains with one shared
+//! counter: a worker claims an execution ticket, then the next job index.
+//! Jobs are independent and their results are addressed by job index, so
+//! the worker count decides only which thread runs a job, never what it
+//! measures; and a [`Campaign::max_cells`] budget of *k* tickets executes
+//! exactly the first *k* jobs, whatever the worker count.
 //!
 //! Each cell runs through [`crate::Runner::measure`] — the cell-execution
 //! primitive — under the cell's own validated config, with the campaign's
 //! observers attached, so per-cell experiment streams arrive alongside the
 //! campaign-level events (`campaign_started`, `campaign_resumed`,
-//! `cell_completed`, `cell_stolen`).
+//! `cell_completed`).
+//!
+//! A fixed campaign is a single round: every pending cell at its configured
+//! size, each final as soon as it is measured. When the spec carries a
+//! [`crate::planner::PlannerConfig`] the run is adaptive and adds
+//! refinement rounds. The first round pilots every cell at the planner's
+//! floor. A cell is final
+//! once it meets its target relative half-width or reaches the ceiling —
+//! a test on its own measurement only. Between rounds [`compute_plan`]
+//! grants more invocations to the cells still short of target, and the
+//! next round claims those [`crate::planner::RefineTask`]s in plan order
+//! (widest CI first). Rounds are barriers, so the estimate set each plan
+//! sees — and therefore the whole refinement trajectory — is independent
+//! of the worker count. When nothing more can be granted, the cells still
+//! short of target are archived at their current size.
+//!
+//! Either way the worker that measured a final cell archives it at once
+//! (with a [`CellPrecision`] record in adaptive runs), so a kill loses at
+//! most the cells in flight.
 //!
 //! Resume: the **archive is authoritative** — on [`Campaign::resume`] every
 //! cell the sink already holds is skipped; the campaign journal only
 //! verifies the grid identity (fingerprint + cell count), so a torn run
-//! picks up exactly at its first incomplete cell. The journal is rewritten
-//! from scratch on every run (replayed cells re-journaled first), so it
-//! always ends up complete.
-//!
-//! Adaptive mode: when the spec carries a [`PlannerConfig`], the fixed grid
-//! walk becomes a feedback-driven scheduler. A pilot round measures every
-//! cell at the planner's floor; [`compute_plan`] then grants more
-//! invocations where the predicted CI is still too wide, the worker pool
-//! drains the round's [`crate::planner::RefineTask`]s (widest CI first, the
-//! same stealing discipline), and the loop re-plans until every cell meets
-//! its target relative half-width or nothing more can be granted. Rounds
-//! are barriers, so the estimate set each plan sees — and therefore the
-//! whole refinement trajectory — is independent of the worker count. Only
-//! **final** measurements are archived (target met, ceiling reached, or the
-//! budget-exhausted sweep), each with a [`CellPrecision`] record, so a
-//! killed-and-resumed adaptive campaign re-pilots its unarchived cells and
-//! converges to the same archive.
+//! picks up exactly at its first incomplete cell, and a killed adaptive run
+//! re-pilots its unarchived cells and converges to the same archive. The
+//! journal is rewritten from scratch on every run (replayed cells
+//! re-journaled first), so it always ends up complete.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::campaign::{
     CampaignError, CampaignJournal, CampaignJournalMeta, CampaignJournalWriter, CampaignSpec, Cell,
     CellDone, CellPrecision, CellSink,
 };
 use crate::measurement::BenchmarkMeasurement;
-use crate::planner::{compute_plan, CellEstimate, PlannerConfig};
+use crate::planner::{compute_plan, CellEstimate};
+use crate::pool::run_indexed;
 use crate::runner::Runner;
 use crate::steady::SteadyStateDetector;
-use crate::telemetry::{ExperimentEvent, ExperimentObserver};
+use crate::telemetry::{with_event_sink, EventSink, ExperimentEvent, ExperimentObserver};
 
-/// A cloneable event outlet handed to workers; a no-op with no observers
-/// (same shape as the runner's sink, so telemetry costs nothing unless
-/// asked for).
-#[derive(Clone)]
-struct EventSink(Option<Sender<ExperimentEvent>>);
-
-impl EventSink {
-    fn send(&self, event: ExperimentEvent) {
-        if let Some(tx) = &self.0 {
-            let _ = tx.send(event);
-        }
-    }
-}
-
-/// What a finished campaign run did, cell by cell.
+/// What a finished campaign run did, cell by cell. The cell lists are in
+/// grid order, so a report does not depend on the worker count.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignReport {
     /// The campaign's identity fingerprint.
@@ -78,7 +71,8 @@ pub struct CampaignReport {
     pub skipped: usize,
     /// Cells executed and archived by this run.
     pub executed: usize,
-    /// Cells stolen between workers by this run.
+    /// Always 0: the counter pool moves no cell between workers. Kept only
+    /// because the host-clock benchmark still reads it.
     pub stolen: usize,
     /// Canonical ids of executed cells whose measurement was quarantined.
     pub quarantined: Vec<String>,
@@ -110,8 +104,8 @@ impl CampaignReport {
     }
 }
 
-/// Executes a [`CampaignSpec`] on a work-stealing worker pool. Builder
-/// style: configure, then [`Campaign::run`].
+/// Executes a [`CampaignSpec`] on a pool of worker threads. Builder style:
+/// configure, then [`Campaign::run`].
 pub struct Campaign {
     spec: CampaignSpec,
     workers: usize,
@@ -165,8 +159,8 @@ impl Campaign {
         self
     }
 
-    /// Caps how many cells this run may execute (builder style) — the rest
-    /// stay pending for a later `--resume`. Used to interrupt
+    /// Caps how many measurements this run may execute (builder style) —
+    /// the rest stay pending for a later `--resume`. Used to interrupt
     /// deterministically in tests and CI smoke runs.
     pub fn max_cells(mut self, max_cells: usize) -> Campaign {
         self.max_cells = Some(max_cells);
@@ -196,12 +190,14 @@ impl Campaign {
         if self.workers == 0 {
             return Err(CampaignError::ZeroWorkers);
         }
-        if let Some(planner) = self.spec.planner {
-            return self.run_adaptive(planner, sink);
+        let planner = self.spec.planner;
+        if let Some(cfg) = &planner {
+            cfg.validate().map_err(CampaignError::Planner)?;
         }
         let cells = self.spec.cells()?;
         let fingerprint = self.spec.fingerprint();
         let total = cells.len();
+        let tally = Tally::default();
 
         // Resume: the archive is authoritative for *what* is done; the
         // journal only proves the path belongs to this grid.
@@ -218,14 +214,31 @@ impl Campaign {
                 }
             }
             for cell in cells {
-                match sink.completed_cell(&cell).map_err(CampaignError::Sink)? {
-                    Some(receipt) => skipped.push((cell, receipt.run_id)),
-                    None => pending.push(cell),
+                let Some(receipt) = sink.completed_cell(&cell).map_err(CampaignError::Sink)? else {
+                    pending.push(cell);
+                    continue;
+                };
+                if planner.is_some() {
+                    // Archived cells are final at their archived size; their
+                    // precision records reconstruct the invocations spent.
+                    // A record-less cell (a sink without the side-channel)
+                    // counts its configured size.
+                    match sink
+                        .completed_precision(&cell)
+                        .map_err(CampaignError::Sink)?
+                    {
+                        Some(p) => tally.spend(&cell, p.invocations_used, p.target_met),
+                        None => tally.spend(&cell, cell.config.invocations, true),
+                    }
                 }
+                skipped.push((cell, receipt.run_id));
             }
         } else {
             pending = cells;
         }
+        tally
+            .completed
+            .store(skipped.len() as u32, Ordering::Relaxed);
 
         let meta = CampaignJournalMeta {
             fingerprint: fingerprint.clone(),
@@ -250,380 +263,78 @@ impl Campaign {
             None => None,
         };
 
-        // Deal pending cells round-robin onto per-worker deques.
-        let workers = self.workers.clamp(1, pending.len().max(1));
-        let mut deques: Vec<VecDeque<Cell>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (i, cell) in pending.drain(..).enumerate() {
-            deques[i % workers].push_back(cell);
-        }
-        let queues: Vec<Mutex<VecDeque<Cell>>> = deques.into_iter().map(Mutex::new).collect();
-
-        let completed = AtomicU32::new(skipped.len() as u32);
-        let executed = AtomicUsize::new(0);
-        let stolen = AtomicUsize::new(0);
-        // Execution budget: claiming a ticket is the only gate, so the cap
-        // is exact even under contention.
-        let budget = AtomicUsize::new(self.max_cells.unwrap_or(usize::MAX));
-        let quarantined: Mutex<Vec<String>> = Mutex::new(Vec::new());
-        let failures: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
-
-        std::thread::scope(|scope| {
-            // Telemetry drain, exactly as in the runner: a dedicated thread
-            // fans events out, a panicking observer is disabled once.
-            let sink_events = if self.observers.is_empty() {
-                EventSink(None)
-            } else {
-                let (tx, rx) = channel::<ExperimentEvent>();
-                let observers = &self.observers;
-                scope.spawn(move || {
-                    let mut disabled = vec![false; observers.len()];
-                    for event in rx {
-                        for (idx, obs) in observers.iter().enumerate() {
-                            if disabled[idx] {
-                                continue;
-                            }
-                            let outcome = catch_unwind(AssertUnwindSafe(|| obs.on_event(&event)));
-                            if outcome.is_err() {
-                                disabled[idx] = true;
-                                eprintln!(
-                                    "rigor: observer #{idx} panicked on `{}`; \
-                                     disabling it for the rest of the campaign",
-                                    event.name()
-                                );
-                            }
-                        }
-                    }
-                });
-                EventSink(Some(tx))
-            };
-
-            sink_events.send(ExperimentEvent::CampaignStarted {
-                campaign: fingerprint.clone(),
-                cells: total as u32,
-                workers: workers as u32,
-                arrival: self.spec.arrival.to_string(),
-            });
-            if self.resume {
-                sink_events.send(ExperimentEvent::CampaignResumed {
-                    campaign: fingerprint.clone(),
-                    completed: skipped.len() as u32,
-                    cells: total as u32,
-                });
-            }
-
-            for me in 0..workers {
-                let sink_events = sink_events.clone();
-                let queues = &queues;
-                let completed = &completed;
-                let executed = &executed;
-                let stolen = &stolen;
-                let budget = &budget;
-                let quarantined = &quarantined;
-                let failures = &failures;
-                let writer = &writer;
-                let observers = &self.observers;
-                let spec = &self.spec;
-                scope.spawn(move || loop {
-                    // Claim an execution ticket before touching any queue.
-                    if budget
-                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
-                        .is_err()
-                    {
-                        break;
-                    }
-                    // Own deque first (front) …
-                    let mut cell = queues[me].lock().expect("queue poisoned").pop_front();
-                    // … then steal from the back of the longest other deque.
-                    if cell.is_none() {
-                        let victim = (0..queues.len())
-                            .filter(|&v| v != me)
-                            .map(|v| (v, queues[v].lock().expect("queue poisoned").len()))
-                            .filter(|&(_, len)| len > 0)
-                            .max_by_key(|&(_, len)| len)
-                            .map(|(v, _)| v);
-                        if let Some(v) = victim {
-                            cell = queues[v].lock().expect("queue poisoned").pop_back();
-                            if let Some(c) = &cell {
-                                stolen.fetch_add(1, Ordering::Relaxed);
-                                sink_events.send(ExperimentEvent::CellStolen {
-                                    cell: c.id.canonical(),
-                                    index: c.index as u32,
-                                    from_worker: v as u32,
-                                    to_worker: me as u32,
-                                });
-                            }
-                        }
-                    }
-                    let Some(cell) = cell else { break };
-
-                    // Seeded arrival pacing: a pure function of (campaign
-                    // seed, cell index), so the pattern replays under the
-                    // same seed whatever the worker count.
-                    let delay = spec
-                        .arrival
-                        .delay(spec.base.experiment_seed, cell.index as u64);
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-
-                    execute_cell(
-                        &cell,
-                        me,
-                        total,
-                        observers,
-                        sink,
-                        writer,
-                        &sink_events,
-                        completed,
-                        executed,
-                        quarantined,
-                        failures,
-                    );
-                });
-            }
-            // `scope` joins the workers, then the drain (its channel closes
-            // when the last worker's sink clone drops with this binding).
-            drop(sink_events);
-        });
-
-        let remaining = queues
-            .into_iter()
-            .map(|q| q.into_inner().expect("queue poisoned").len())
-            .sum();
-        Ok(CampaignReport {
-            fingerprint,
-            total,
-            skipped: skipped.len(),
-            executed: executed.into_inner(),
-            stolen: stolen.into_inner(),
-            quarantined: quarantined.into_inner().expect("quarantine list poisoned"),
-            failures: failures.into_inner().expect("failure list poisoned"),
-            remaining,
-            rounds: 0,
-            invocations: 0,
-            unmet: Vec::new(),
-        })
-    }
-
-    /// The adaptive-precision path: pilot every pending cell, then re-plan
-    /// and refine round by round until every cell meets the target relative
-    /// half-width or nothing more can be granted. See the module docs for
-    /// the scheduling and determinism argument.
-    fn run_adaptive(
-        &self,
-        cfg: PlannerConfig,
-        sink: &dyn CellSink,
-    ) -> Result<CampaignReport, CampaignError> {
-        cfg.validate().map_err(CampaignError::Planner)?;
-        let cells = self.spec.cells()?;
-        let fingerprint = self.spec.fingerprint();
-        let total = cells.len();
-        let target = cfg.target_rel_half_width;
-        let detector = SteadyStateDetector::default();
-        let confidence = self.spec.base.confidence;
-
-        // Resume: archived cells are final at their archived size; their
-        // precision records reconstruct the invocations already spent.
-        let mut skipped: Vec<(Cell, String)> = Vec::new();
-        let mut pending: Vec<Cell> = Vec::new();
-        let mut spent_final: u64 = 0;
-        let mut unmet_ids: Vec<String> = Vec::new();
-        if self.resume {
-            if let Some(path) = &self.journal_path {
-                if let Some(journal) = CampaignJournal::load_tolerant(path)
-                    .map_err(|e| CampaignError::Journal(e.to_string()))?
-                {
-                    journal
-                        .check_matches(&fingerprint, total as u32)
-                        .map_err(CampaignError::JournalMismatch)?;
-                }
-            }
-            for cell in cells {
-                match sink.completed_cell(&cell).map_err(CampaignError::Sink)? {
-                    Some(receipt) => {
-                        match sink
-                            .completed_precision(&cell)
-                            .map_err(CampaignError::Sink)?
-                        {
-                            Some(p) => {
-                                spent_final += u64::from(p.invocations_used);
-                                if !p.target_met {
-                                    unmet_ids.push(cell.id.canonical());
-                                }
-                            }
-                            // Archived without a precision record (a sink
-                            // without the side-channel): count the cell's
-                            // configured size.
-                            None => spent_final += u64::from(cell.config.invocations),
-                        }
-                        skipped.push((cell, receipt.run_id));
-                    }
-                    None => pending.push(cell),
-                }
-            }
-        } else {
-            pending = cells;
-        }
-
-        let meta = CampaignJournalMeta {
-            fingerprint: fingerprint.clone(),
-            cells: total as u32,
-        };
-        let writer = match &self.journal_path {
-            Some(path) => {
-                let mut w = CampaignJournalWriter::create(path, &meta)
-                    .map_err(|e| CampaignError::Journal(e.to_string()))?;
-                for (cell, run_id) in &skipped {
-                    w.append_cell(&CellDone {
-                        index: cell.index as u32,
-                        id: cell.id.canonical(),
-                        run_id: run_id.clone(),
-                    })
-                    .map_err(|e| CampaignError::Journal(e.to_string()))?;
-                }
-                Some(Mutex::new(w))
-            }
-            None => None,
-        };
-
-        let completed = AtomicU32::new(skipped.len() as u32);
-        let executed = AtomicUsize::new(0);
-        let stolen = AtomicUsize::new(0);
         // Measurement-ticket budget shared across all rounds, so
         // `max_cells` interrupts an adaptive run mid-refinement too.
         let tickets = AtomicUsize::new(self.max_cells.unwrap_or(usize::MAX));
-        let quarantined: Mutex<Vec<String>> = Mutex::new(Vec::new());
-        let failures: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
-        let mut rounds: u32 = 0;
-        let mut remaining: usize = 0;
-
-        std::thread::scope(|scope| {
-            let sink_events = if self.observers.is_empty() {
-                EventSink(None)
-            } else {
-                let (tx, rx) = channel::<ExperimentEvent>();
-                let observers = &self.observers;
-                scope.spawn(move || {
-                    let mut disabled = vec![false; observers.len()];
-                    for event in rx {
-                        for (idx, obs) in observers.iter().enumerate() {
-                            if disabled[idx] {
-                                continue;
-                            }
-                            let outcome = catch_unwind(AssertUnwindSafe(|| obs.on_event(&event)));
-                            if outcome.is_err() {
-                                disabled[idx] = true;
-                                eprintln!(
-                                    "rigor: observer #{idx} panicked on `{}`; \
-                                     disabling it for the rest of the campaign",
-                                    event.name()
-                                );
-                            }
-                        }
-                    }
-                });
-                EventSink(Some(tx))
-            };
-
-            sink_events.send(ExperimentEvent::CampaignStarted {
+        let (rounds, remaining) = with_event_sink(&self.observers, "campaign", |events| {
+            events.send(ExperimentEvent::CampaignStarted {
                 campaign: fingerprint.clone(),
                 cells: total as u32,
                 workers: self.workers as u32,
                 arrival: self.spec.arrival.to_string(),
             });
             if self.resume {
-                sink_events.send(ExperimentEvent::CampaignResumed {
+                events.send(ExperimentEvent::CampaignResumed {
                     campaign: fingerprint.clone(),
                     completed: skipped.len() as u32,
                     cells: total as u32,
                 });
             }
+            let run = CellRun {
+                campaign: self,
+                sink,
+                writer: &writer,
+                events,
+                tally: &tally,
+                total,
+            };
 
-            // Live cells: latest measurement + estimate, keyed by grid
-            // index. The pilot is round 0; every later round's jobs come
-            // from the plan.
-            let mut estimates: BTreeMap<usize, (Cell, BenchmarkMeasurement, CellEstimate)> =
-                BTreeMap::new();
-            let mut jobs: Vec<(Cell, u32)> = pending.drain(..).map(|c| (c, cfg.pilot())).collect();
+            // Cells measured but still short of target, by grid index.
+            let mut live: BTreeMap<usize, Live> = BTreeMap::new();
+            let mut jobs: Vec<(Cell, u32)> = pending
+                .into_iter()
+                .map(|c| {
+                    let n = planner.map_or(c.config.invocations, |cfg| cfg.pilot());
+                    (c, n)
+                })
+                .collect();
             let mut round: u32 = 0;
             loop {
-                let outcome = run_refinement_round(
-                    jobs,
-                    self.workers,
-                    &self.spec,
-                    &self.observers,
-                    &sink_events,
-                    &tickets,
-                    &stolen,
-                    &failures,
-                );
-                for (cell, m) in outcome.measured {
-                    let est = CellEstimate::from_measurement(cell.index, &m, &detector, confidence);
-                    sink_events.send(ExperimentEvent::CellRefined {
-                        cell: cell.id.canonical(),
-                        index: cell.index as u32,
-                        round,
-                        invocations: est.invocations,
-                        rel_half_width: est.rel_half_width,
-                        target_met: est.target_met(target),
-                    });
-                    estimates.insert(cell.index, (cell, m, est));
-                }
-                for idx in outcome.failed {
-                    // A failed re-measurement drops the cell from the
-                    // campaign (recorded in `failures`); a rerun retries it.
-                    estimates.remove(&idx);
-                }
-
-                // Finalize what is done: target met, or ceiling reached.
-                let done: Vec<usize> = estimates
-                    .iter()
-                    .filter(|(_, (_, _, e))| {
-                        e.target_met(target) || e.invocations >= cfg.max_invocations
-                    })
-                    .map(|(&i, _)| i)
-                    .collect();
-                for idx in done {
-                    let (cell, m, est) = estimates.remove(&idx).expect("just listed");
-                    spent_final += u64::from(est.invocations);
-                    if !est.target_met(target) {
-                        unmet_ids.push(cell.id.canonical());
+                let outcomes: Vec<OnceLock<Live>> = jobs.iter().map(|_| OnceLock::new()).collect();
+                let unclaimed = run_indexed(jobs.len(), self.workers, &tickets, |worker, i| {
+                    let (cell, invocations) = &jobs[i];
+                    if let Some(l) = run.measure(cell, *invocations, worker, round) {
+                        let _ = outcomes[i].set(l);
                     }
-                    finalize_cell(
-                        &cell,
-                        &m,
-                        &est,
-                        target,
-                        total,
-                        sink,
-                        &writer,
-                        &sink_events,
-                        &completed,
-                        &executed,
-                        &quarantined,
-                        &failures,
-                    );
+                });
+                let claimed = jobs.len() - unclaimed;
+                for ((cell, _), outcome) in jobs.iter().zip(outcomes).take(claimed) {
+                    // A final or failed cell leaves the live set; a failed
+                    // one is in `failures`, and a rerun retries it.
+                    match outcome.into_inner() {
+                        Some(l) => live.insert(cell.index, l),
+                        None => live.remove(&cell.index),
+                    };
                 }
-
-                if !outcome.leftover.is_empty() {
-                    // The ticket budget ran out mid-round: stop re-planning.
-                    // Cells not yet final stay unarchived for a resume. A
-                    // leftover refinement job's cell is usually already in
-                    // `estimates` (measured by the pilot) — count each
+                if unclaimed > 0 {
+                    // The ticket budget ran out: stop. Cells not yet final
+                    // stay unarchived for a resume. An unclaimed refinement
+                    // job's cell is usually live already — count each
                     // unfinished cell once.
-                    remaining = estimates.len()
-                        + outcome
-                            .leftover
-                            .iter()
-                            .filter(|i| !estimates.contains_key(i))
-                            .count();
-                    break;
+                    let unstarted = jobs[claimed..]
+                        .iter()
+                        .filter(|(c, _)| !live.contains_key(&c.index))
+                        .count();
+                    break (round, live.len() + unstarted);
                 }
+                let Some(cfg) = &planner else {
+                    break (round, 0);
+                };
 
                 round += 1;
-                let ests: Vec<CellEstimate> = estimates.values().map(|(_, _, e)| *e).collect();
-                let plan = compute_plan(&ests, spent_final, &cfg, round);
-                sink_events.send(ExperimentEvent::PlanComputed {
+                let ests: Vec<CellEstimate> = live.values().map(|l| l.estimate).collect();
+                let plan = compute_plan(&ests, tally.spent.load(Ordering::Relaxed), cfg, round);
+                events.send(ExperimentEvent::PlanComputed {
                     campaign: fingerprint.clone(),
                     round,
                     unmet: plan.unmet as u32,
@@ -634,7 +345,7 @@ impl Campaign {
                 });
                 if plan.tasks.is_empty() {
                     if plan.exhausted {
-                        sink_events.send(ExperimentEvent::BudgetExhausted {
+                        events.send(ExperimentEvent::BudgetExhausted {
                             campaign: fingerprint.clone(),
                             round,
                             spent: plan.spent,
@@ -644,349 +355,229 @@ impl Campaign {
                     }
                     // Final sweep: cells nothing more can be granted to are
                     // archived at their current size, short of target.
-                    for (_, (cell, m, est)) in std::mem::take(&mut estimates) {
-                        spent_final += u64::from(est.invocations);
-                        if !est.target_met(target) {
-                            unmet_ids.push(cell.id.canonical());
-                        }
-                        finalize_cell(
-                            &cell,
-                            &m,
-                            &est,
-                            target,
-                            total,
-                            sink,
-                            &writer,
-                            &sink_events,
-                            &completed,
-                            &executed,
-                            &quarantined,
-                            &failures,
-                        );
+                    for l in std::mem::take(&mut live).into_values() {
+                        run.finalize(&l.cell, &l.measurement, Some(&l.estimate), l.worker);
                     }
-                    break;
+                    break (round, 0);
                 }
-                // The plan orders tasks widest CI first; dealing preserves
-                // that priority across the worker deques.
                 jobs = plan
                     .tasks
                     .iter()
-                    .filter_map(|t| {
-                        estimates
-                            .get(&t.index)
-                            .map(|(c, _, _)| (c.clone(), t.invocations))
-                    })
+                    .filter_map(|t| live.get(&t.index).map(|l| (l.cell.clone(), t.invocations)))
                     .collect();
             }
-            rounds = round;
-            drop(sink_events);
         });
 
         Ok(CampaignReport {
             fingerprint,
             total,
             skipped: skipped.len(),
-            executed: executed.into_inner(),
-            stolen: stolen.into_inner(),
-            quarantined: quarantined.into_inner().expect("quarantine list poisoned"),
-            failures: failures.into_inner().expect("failure list poisoned"),
+            executed: tally.executed.into_inner(),
+            stolen: 0,
+            quarantined: in_grid_order(tally.quarantined),
+            failures: in_grid_order(tally.failures),
             remaining,
             rounds,
-            invocations: spent_final,
-            unmet: unmet_ids,
+            invocations: tally.spent.into_inner(),
+            unmet: in_grid_order(tally.unmet),
         })
     }
 }
 
-/// Measures one cell and streams it to the sink + journal, recording the
-/// outcome in the shared campaign state. Never panics the worker: every
-/// failure becomes a `failures` entry.
-#[allow(clippy::too_many_arguments)]
-fn execute_cell(
-    cell: &Cell,
+/// A measured cell still short of its target: its latest measurement and
+/// estimate, and the worker that took them.
+struct Live {
+    cell: Cell,
+    measurement: BenchmarkMeasurement,
+    estimate: CellEstimate,
     worker: usize,
+}
+
+/// Campaign state the workers update, keyed by grid index where a report
+/// lists cells.
+#[derive(Default)]
+struct Tally {
+    completed: AtomicU32,
+    executed: AtomicUsize,
+    /// Invocations committed across final cells (adaptive runs only).
+    spent: AtomicU64,
+    quarantined: Mutex<Vec<(usize, String)>>,
+    failures: Mutex<Vec<(usize, (String, String))>>,
+    unmet: Mutex<Vec<(usize, String)>>,
+}
+
+impl Tally {
+    /// Accounts a cell that is final at `invocations` (adaptive runs).
+    fn spend(&self, cell: &Cell, invocations: u32, target_met: bool) {
+        self.spent
+            .fetch_add(u64::from(invocations), Ordering::Relaxed);
+        if !target_met {
+            push(&self.unmet, cell.index, cell.id.canonical());
+        }
+    }
+
+    fn fail(&self, cell: &Cell, error: String) {
+        push(&self.failures, cell.index, (cell.id.canonical(), error));
+    }
+}
+
+fn push<T>(list: &Mutex<Vec<(usize, T)>>, index: usize, item: T) {
+    list.lock()
+        .expect("campaign tally poisoned")
+        .push((index, item));
+}
+
+/// The list's items sorted by grid index.
+fn in_grid_order<T>(list: Mutex<Vec<(usize, T)>>) -> Vec<T> {
+    let mut list = list.into_inner().expect("campaign tally poisoned");
+    list.sort_by_key(|&(index, _)| index);
+    list.into_iter().map(|(_, item)| item).collect()
+}
+
+/// Everything a worker needs to measure and finalize cells.
+struct CellRun<'a> {
+    campaign: &'a Campaign,
+    sink: &'a dyn CellSink,
+    writer: &'a Option<Mutex<CampaignJournalWriter>>,
+    events: &'a EventSink,
+    tally: &'a Tally,
     total: usize,
-    observers: &[Arc<dyn ExperimentObserver>],
-    sink: &dyn CellSink,
-    writer: &Option<Mutex<CampaignJournalWriter>>,
-    sink_events: &EventSink,
-    completed: &AtomicU32,
-    executed: &AtomicUsize,
-    quarantined: &Mutex<Vec<String>>,
-    failures: &Mutex<Vec<(String, String)>>,
-) {
-    let id = cell.id.canonical();
-    // The config was validated at grid expansion; a rejection here would be
-    // a logic error, but record it rather than panicking a worker.
-    let mut runner = match Runner::new(cell.config.clone()) {
-        Ok(r) => r,
-        Err(e) => {
-            record_failure(failures, &id, format!("invalid config: {e}"));
-            return;
+}
+
+impl CellRun<'_> {
+    /// Measures `cell` at `invocations` and finalizes it at once when the
+    /// measurement is final. Returns the cell's live state when it still
+    /// needs refinement; `None` when it was finalized or failed. Never
+    /// panics the worker: every failure becomes a `failures` entry.
+    fn measure(&self, cell: &Cell, invocations: u32, worker: usize, round: u32) -> Option<Live> {
+        // Seeded arrival pacing: a pure function of (campaign seed, cell
+        // index), so the pattern replays under the same seed whatever the
+        // worker count.
+        let spec = &self.campaign.spec;
+        let delay = spec
+            .arrival
+            .delay(spec.base.experiment_seed, cell.index as u64);
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
         }
-    };
-    for obs in observers {
-        runner = runner.observer(obs.clone());
-    }
-    let measurement = match runner.measure(&cell.workload) {
-        Ok(m) => m,
-        Err(e) => {
-            record_failure(failures, &id, e.to_string());
-            return;
+
+        // The config was validated at grid expansion; a rejection here would
+        // be a logic error, but record it rather than panicking a worker.
+        let mut runner = match Runner::new(cell.config.clone().with_invocations(invocations)) {
+            Ok(r) => r,
+            Err(e) => {
+                self.tally.fail(cell, format!("invalid config: {e}"));
+                return None;
+            }
+        };
+        for obs in &self.campaign.observers {
+            runner = runner.observer(obs.clone());
         }
-    };
-    if measurement.quarantined {
-        quarantined
-            .lock()
-            .expect("quarantine list poisoned")
-            .push(id.clone());
-    }
-    let receipt = match sink.archive_cell(cell, &measurement) {
-        Ok(r) => r,
-        Err(e) => {
-            record_failure(failures, &id, format!("sink: {e}"));
-            return;
-        }
-    };
-    if let Some(writer) = writer {
-        let done = CellDone {
+        let measurement = match runner.measure(&cell.workload) {
+            Ok(m) => m,
+            Err(e) => {
+                self.tally.fail(cell, e.to_string());
+                return None;
+            }
+        };
+        let Some(cfg) = &spec.planner else {
+            self.finalize(cell, &measurement, None, worker);
+            return None;
+        };
+        let target = cfg.target_rel_half_width;
+        let estimate = CellEstimate::from_measurement(
+            cell.index,
+            &measurement,
+            &SteadyStateDetector::default(),
+            spec.base.confidence,
+        );
+        self.events.send(ExperimentEvent::CellRefined {
+            cell: cell.id.canonical(),
             index: cell.index as u32,
-            id: id.clone(),
-            run_id: receipt.run_id.clone(),
-        };
-        // Journal failures are reported, not fatal: losing the journal must
-        // not lose the archived cell.
-        if let Err(e) = writer
-            .lock()
-            .expect("journal writer poisoned")
-            .append_cell(&done)
-        {
-            eprintln!("rigor: campaign journal write failed (cell {id}): {e}");
+            round,
+            invocations: estimate.invocations,
+            rel_half_width: estimate.rel_half_width,
+            target_met: estimate.target_met(target),
+        });
+        if estimate.target_met(target) || estimate.invocations >= cfg.max_invocations {
+            self.finalize(cell, &measurement, Some(&estimate), worker);
+            return None;
         }
+        Some(Live {
+            cell: cell.clone(),
+            measurement,
+            estimate,
+            worker,
+        })
     }
-    executed.fetch_add(1, Ordering::Relaxed);
-    let done_so_far = completed.fetch_add(1, Ordering::Relaxed) + 1;
-    sink_events.send(ExperimentEvent::CellCompleted {
-        cell: id,
-        index: cell.index as u32,
-        worker: worker as u32,
-        run_id: receipt.run_id,
-        completed: done_so_far,
-        cells: total as u32,
-    });
-}
 
-/// What one adaptive round's worker pool produced.
-struct RoundOutcome {
-    /// Successfully measured jobs, in grid-index order.
-    measured: Vec<(Cell, BenchmarkMeasurement)>,
-    /// Grid indices whose measurement failed (already in `failures`).
-    failed: Vec<usize>,
-    /// Grid indices of jobs left unscheduled because the ticket budget ran
-    /// out.
-    leftover: Vec<usize>,
-}
-
-/// Runs one adaptive round's jobs — (cell, sample size) pairs — on the
-/// work-stealing pool: same dealing, stealing and ticket discipline as the
-/// fixed path, but each job re-measures its cell at the job's own
-/// invocation count and the results come back to the coordinator instead
-/// of going straight to the sink.
-#[allow(clippy::too_many_arguments)]
-fn run_refinement_round(
-    jobs: Vec<(Cell, u32)>,
-    workers: usize,
-    spec: &CampaignSpec,
-    observers: &[Arc<dyn ExperimentObserver>],
-    sink_events: &EventSink,
-    tickets: &AtomicUsize,
-    stolen: &AtomicUsize,
-    failures: &Mutex<Vec<(String, String)>>,
-) -> RoundOutcome {
-    if jobs.is_empty() {
-        return RoundOutcome {
-            measured: Vec::new(),
-            failed: Vec::new(),
-            leftover: Vec::new(),
-        };
-    }
-    let workers = workers.clamp(1, jobs.len());
-    let mut deques: Vec<VecDeque<(Cell, u32)>> = (0..workers).map(|_| VecDeque::new()).collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        deques[i % workers].push_back(job);
-    }
-    let queues: Vec<Mutex<VecDeque<(Cell, u32)>>> = deques.into_iter().map(Mutex::new).collect();
-    let measured: Mutex<Vec<(Cell, BenchmarkMeasurement)>> = Mutex::new(Vec::new());
-    let failed: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let sink_events = sink_events.clone();
-            let queues = &queues;
-            let measured = &measured;
-            let failed = &failed;
-            scope.spawn(move || loop {
-                if tickets
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
-                    .is_err()
-                {
-                    break;
-                }
-                let mut job = queues[me].lock().expect("queue poisoned").pop_front();
-                if job.is_none() {
-                    let victim = (0..queues.len())
-                        .filter(|&v| v != me)
-                        .map(|v| (v, queues[v].lock().expect("queue poisoned").len()))
-                        .filter(|&(_, len)| len > 0)
-                        .max_by_key(|&(_, len)| len)
-                        .map(|(v, _)| v);
-                    if let Some(v) = victim {
-                        job = queues[v].lock().expect("queue poisoned").pop_back();
-                        if let Some((c, _)) = &job {
-                            stolen.fetch_add(1, Ordering::Relaxed);
-                            sink_events.send(ExperimentEvent::CellStolen {
-                                cell: c.id.canonical(),
-                                index: c.index as u32,
-                                from_worker: v as u32,
-                                to_worker: me as u32,
-                            });
-                        }
-                    }
-                }
-                let Some((cell, invocations)) = job else {
-                    // Hand the unused ticket back: rounds are barriers, so
-                    // each worker drains an empty queue once per round and
-                    // losing a ticket each time would shrink `max_cells`.
-                    tickets.fetch_add(1, Ordering::Relaxed);
-                    break;
+    /// Archives a final cell, journals it and emits `cell_completed`. An
+    /// adaptive cell (`estimate` set) is archived with its precision record
+    /// under the config it actually ran at (its final sample size), so the
+    /// archive describes the measurement bytes exactly.
+    fn finalize(
+        &self,
+        cell: &Cell,
+        measurement: &BenchmarkMeasurement,
+        estimate: Option<&CellEstimate>,
+        worker: usize,
+    ) {
+        let id = cell.id.canonical();
+        if measurement.quarantined {
+            push(&self.tally.quarantined, cell.index, id.clone());
+        }
+        let archived = match (estimate, &self.campaign.spec.planner) {
+            (Some(est), Some(cfg)) => {
+                let target = cfg.target_rel_half_width;
+                self.tally
+                    .spend(cell, est.invocations, est.target_met(target));
+                let precision = CellPrecision {
+                    invocations_used: est.invocations,
+                    rel_half_width: est.rel_half_width,
+                    target_rel_half_width: target,
+                    target_met: est.target_met(target),
                 };
-
-                let delay = spec
-                    .arrival
-                    .delay(spec.base.experiment_seed, cell.index as u64);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-
-                let id = cell.id.canonical();
-                let config = cell.config.clone().with_invocations(invocations);
-                let mut runner = match Runner::new(config) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        record_failure(failures, &id, format!("invalid config: {e}"));
-                        failed
-                            .lock()
-                            .expect("failed list poisoned")
-                            .push(cell.index);
-                        continue;
-                    }
-                };
-                for obs in observers {
-                    runner = runner.observer(obs.clone());
-                }
-                match runner.measure(&cell.workload) {
-                    Ok(m) => measured
-                        .lock()
-                        .expect("measured list poisoned")
-                        .push((cell, m)),
-                    Err(e) => {
-                        record_failure(failures, &id, e.to_string());
-                        failed
-                            .lock()
-                            .expect("failed list poisoned")
-                            .push(cell.index);
-                    }
-                }
-            });
+                let mut sized = cell.clone();
+                sized.config = cell.config.clone().with_invocations(est.invocations);
+                self.sink
+                    .archive_cell_precise(&sized, measurement, &precision)
+            }
+            _ => self.sink.archive_cell(cell, measurement),
+        };
+        let receipt = match archived {
+            Ok(r) => r,
+            Err(e) => {
+                self.tally.fail(cell, format!("sink: {e}"));
+                return;
+            }
+        };
+        if let Some(writer) = self.writer {
+            let done = CellDone {
+                index: cell.index as u32,
+                id: id.clone(),
+                run_id: receipt.run_id.clone(),
+            };
+            // Journal failures are reported, not fatal: losing the journal
+            // must not lose the archived cell.
+            if let Err(e) = writer
+                .lock()
+                .expect("journal writer poisoned")
+                .append_cell(&done)
+            {
+                eprintln!("rigor: campaign journal write failed (cell {id}): {e}");
+            }
         }
-    });
-
-    let leftover: Vec<usize> = queues
-        .into_iter()
-        .flat_map(|q| q.into_inner().expect("queue poisoned"))
-        .map(|(cell, _)| cell.index)
-        .collect();
-    let mut measured = measured.into_inner().expect("measured list poisoned");
-    measured.sort_by_key(|(c, _)| c.index);
-    RoundOutcome {
-        measured,
-        failed: failed.into_inner().expect("failed list poisoned"),
-        leftover,
-    }
-}
-
-/// Archives a cell that reached its final adaptive state, together with its
-/// precision record, then journals it and emits `cell_completed`. The cell
-/// is archived under the config it actually ran at (its final sample size),
-/// so the archive describes the measurement bytes exactly.
-#[allow(clippy::too_many_arguments)]
-fn finalize_cell(
-    cell: &Cell,
-    measurement: &BenchmarkMeasurement,
-    est: &CellEstimate,
-    target: f64,
-    total: usize,
-    sink: &dyn CellSink,
-    writer: &Option<Mutex<CampaignJournalWriter>>,
-    sink_events: &EventSink,
-    completed: &AtomicU32,
-    executed: &AtomicUsize,
-    quarantined: &Mutex<Vec<String>>,
-    failures: &Mutex<Vec<(String, String)>>,
-) {
-    let id = cell.id.canonical();
-    if measurement.quarantined {
-        quarantined
-            .lock()
-            .expect("quarantine list poisoned")
-            .push(id.clone());
-    }
-    let precision = CellPrecision {
-        invocations_used: est.invocations,
-        rel_half_width: est.rel_half_width,
-        target_rel_half_width: target,
-        target_met: est.target_met(target),
-    };
-    let mut archived = cell.clone();
-    archived.config = cell.config.clone().with_invocations(est.invocations);
-    let receipt = match sink.archive_cell_precise(&archived, measurement, &precision) {
-        Ok(r) => r,
-        Err(e) => {
-            record_failure(failures, &id, format!("sink: {e}"));
-            return;
-        }
-    };
-    if let Some(writer) = writer {
-        let done = CellDone {
+        self.tally.executed.fetch_add(1, Ordering::Relaxed);
+        let done_so_far = self.tally.completed.fetch_add(1, Ordering::Relaxed) + 1;
+        self.events.send(ExperimentEvent::CellCompleted {
+            cell: id,
             index: cell.index as u32,
-            id: id.clone(),
-            run_id: receipt.run_id.clone(),
-        };
-        if let Err(e) = writer
-            .lock()
-            .expect("journal writer poisoned")
-            .append_cell(&done)
-        {
-            eprintln!("rigor: campaign journal write failed (cell {id}): {e}");
-        }
+            worker: worker as u32,
+            run_id: receipt.run_id,
+            completed: done_so_far,
+            cells: self.total as u32,
+        });
     }
-    executed.fetch_add(1, Ordering::Relaxed);
-    let done_so_far = completed.fetch_add(1, Ordering::Relaxed) + 1;
-    sink_events.send(ExperimentEvent::CellCompleted {
-        cell: id,
-        index: cell.index as u32,
-        worker: 0,
-        run_id: receipt.run_id,
-        completed: done_so_far,
-        cells: total as u32,
-    });
-}
-
-fn record_failure(failures: &Mutex<Vec<(String, String)>>, id: &str, error: String) {
-    failures
-        .lock()
-        .expect("failure list poisoned")
-        .push((id.to_string(), error));
 }
 
 #[cfg(test)]
@@ -994,6 +585,7 @@ mod tests {
     use super::*;
     use crate::campaign::{ArrivalProcess, ConfigVariant, MemorySink};
     use crate::config::ExperimentConfig;
+    use crate::planner::PlannerConfig;
     use crate::telemetry::CollectingObserver;
     use minipy::EngineKind;
     use rigor_workloads::Size;
@@ -1351,27 +943,115 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_fires_on_imbalanced_queues() {
-        // 8 cells dealt onto 8 workers would give 1 each; instead deal onto
-        // 2 queues but run 8 workers by over-asking: workers clamp to
-        // pending, so force imbalance via many cells and few initial deals.
-        // Simplest observable: with workers > 1 and stealing possible, a
-        // campaign over enough cells records either perfectly local pops or
-        // some steals — assert the accounting stays consistent either way.
+    fn worker_fields_use_the_configured_count_in_both_modes() {
+        for (spec, adaptive) in [(small_spec(), false), (adaptive_spec(planner()), true)] {
+            let obs = Arc::new(CollectingObserver::new());
+            Campaign::new(spec)
+                .workers(8)
+                .observer(obs.clone())
+                .run(&MemorySink::new())
+                .unwrap();
+            let events = obs.events();
+            assert!(events
+                .iter()
+                .any(|e| matches!(e, ExperimentEvent::CampaignStarted { workers: 8, .. })));
+            let workers: Vec<u32> = events
+                .iter()
+                .filter_map(|e| match e {
+                    ExperimentEvent::CellCompleted { worker, .. } => Some(*worker),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(workers.len(), 4);
+            assert!(workers.iter().all(|&w| w < 8), "{workers:?}");
+            // A fixed campaign is the adaptive loop with no planning.
+            let planned = events.iter().any(|e| {
+                matches!(
+                    e,
+                    ExperimentEvent::PlanComputed { .. } | ExperimentEvent::CellRefined { .. }
+                )
+            });
+            assert_eq!(planned, adaptive);
+        }
+    }
+
+    #[test]
+    fn reports_do_not_depend_on_worker_count() {
+        // The cell lists a report carries (here `unmet`, which the
+        // budget-starved spec fills) come back in grid order under any
+        // schedule, so the whole report is worker-count independent.
+        let starved = PlannerConfig::default()
+            .with_target(0.0001)
+            .with_min_invocations(2)
+            .with_max_invocations(30)
+            .with_budget(12);
+        for (spec, min_unmet) in [
+            (small_spec().with_seeds(vec![1, 2, 3]), 0),
+            (adaptive_spec(planner()), 0),
+            (adaptive_spec(starved), 2),
+        ] {
+            let one = Campaign::new(spec.clone())
+                .workers(1)
+                .run(&MemorySink::new())
+                .unwrap();
+            let four = Campaign::new(spec)
+                .workers(4)
+                .run(&MemorySink::new())
+                .unwrap();
+            assert_eq!(one, four);
+            assert!(one.unmet.len() >= min_unmet, "{one:?}");
+        }
+    }
+
+    #[test]
+    fn max_cells_runs_exactly_the_leading_cells_under_any_worker_count() {
         let spec = small_spec().with_seeds(vec![1, 2, 3, 4, 5, 6]);
-        let obs = Arc::new(CollectingObserver::new());
         let sink = MemorySink::new();
         let report = Campaign::new(spec)
             .workers(3)
-            .observer(obs.clone())
+            .max_cells(5)
             .run(&sink)
             .unwrap();
-        assert_eq!(report.executed, 12);
-        let stolen_events = obs
-            .events()
-            .iter()
-            .filter(|e| matches!(e, ExperimentEvent::CellStolen { .. }))
-            .count();
-        assert_eq!(report.stolen, stolen_events);
+        assert_eq!(report.total, 12);
+        assert_eq!(report.executed, 5);
+        assert_eq!(report.remaining, 7);
+        let archived: Vec<usize> = sink.cells().into_iter().map(|(i, _, _)| i).collect();
+        assert_eq!(archived, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn adaptive_interrupt_on_many_workers_resumes_to_a_clean_run() {
+        let path = journal_path("adaptive-resume-3w");
+        let sink = MemorySink::new();
+        let first = Campaign::new(adaptive_spec(planner()))
+            .workers(3)
+            .journal(&path)
+            .max_cells(3)
+            .run(&sink)
+            .unwrap();
+        assert!(!first.is_complete());
+        assert!(first.remaining > 0);
+        let second = Campaign::new(adaptive_spec(planner()))
+            .workers(3)
+            .journal(&path)
+            .resume(true)
+            .run(&sink)
+            .unwrap();
+        assert!(second.is_complete());
+
+        let clean = MemorySink::new();
+        Campaign::new(adaptive_spec(planner()))
+            .workers(3)
+            .run(&clean)
+            .unwrap();
+        assert_eq!(sink.precisions(), clean.precisions());
+        for ((ia, ida, ma), (ib, idb, mb)) in sink.cells().iter().zip(&clean.cells()) {
+            assert_eq!((ia, ida), (ib, idb));
+            assert_eq!(
+                crate::export::to_json(std::slice::from_ref(ma)).unwrap(),
+                crate::export::to_json(std::slice::from_ref(mb)).unwrap()
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -25,7 +25,7 @@
 //! and `ExperimentFinished`.
 //!
 //! Campaign orchestration (see `rigor::campaign`) wraps many such streams:
-//! the run-level events `CampaignStarted`, `CellCompleted`, `CellStolen` and
+//! the run-level events `CampaignStarted`, `CellCompleted` and
 //! `CampaignResumed` bracket the per-cell experiment streams, all flowing to
 //! the same observers.
 //!
@@ -34,7 +34,9 @@
 //! parallel invocations. Implementations must therefore be `Send + Sync`.
 
 use std::io::Write;
-use std::sync::Mutex;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use serde::json::{DeError, JsonValue};
@@ -242,18 +244,6 @@ pub enum ExperimentEvent {
         /// Cells in the grid.
         cells: u32,
     },
-    /// An idle worker stole a queued cell from another worker's deque.
-    /// A *run-level* event.
-    CellStolen {
-        /// Canonical cell id of the stolen cell.
-        cell: String,
-        /// The cell's index in grid-expansion order.
-        index: u32,
-        /// The worker the cell was queued on.
-        from_worker: u32,
-        /// The worker that stole and will execute it.
-        to_worker: u32,
-    },
     /// An upload to the shared archive service failed and is being retried
     /// with backoff. A *run-level* event.
     UploadRetried {
@@ -364,7 +354,6 @@ impl ExperimentEvent {
             ExperimentEvent::CampaignStarted { .. } => "campaign_started",
             ExperimentEvent::CampaignResumed { .. } => "campaign_resumed",
             ExperimentEvent::CellCompleted { .. } => "cell_completed",
-            ExperimentEvent::CellStolen { .. } => "cell_stolen",
             ExperimentEvent::UploadRetried { .. } => "upload_retried",
             ExperimentEvent::CircuitOpened { .. } => "circuit_opened",
             ExperimentEvent::ServerDegraded { .. } => "server_degraded",
@@ -396,7 +385,6 @@ impl ExperimentEvent {
             | ExperimentEvent::CampaignStarted { .. }
             | ExperimentEvent::CampaignResumed { .. }
             | ExperimentEvent::CellCompleted { .. }
-            | ExperimentEvent::CellStolen { .. }
             | ExperimentEvent::UploadRetried { .. }
             | ExperimentEvent::CircuitOpened { .. }
             | ExperimentEvent::ServerDegraded { .. }
@@ -605,17 +593,6 @@ impl Serialize for ExperimentEvent {
                 put("completed", completed.to_value());
                 put("cells", cells.to_value());
             }
-            ExperimentEvent::CellStolen {
-                cell,
-                index,
-                from_worker,
-                to_worker,
-            } => {
-                put("cell", cell.to_value());
-                put("index", index.to_value());
-                put("from_worker", from_worker.to_value());
-                put("to_worker", to_worker.to_value());
-            }
             ExperimentEvent::UploadRetried {
                 label,
                 attempt,
@@ -799,12 +776,6 @@ impl Deserialize for ExperimentEvent {
                 completed: get_field(v, "completed")?,
                 cells: get_field(v, "cells")?,
             }),
-            "cell_stolen" => Ok(ExperimentEvent::CellStolen {
-                cell: get_field(v, "cell")?,
-                index: get_field(v, "index")?,
-                from_worker: get_field(v, "from_worker")?,
-                to_worker: get_field(v, "to_worker")?,
-            }),
             "upload_retried" => Ok(ExperimentEvent::UploadRetried {
                 label: get_field(v, "label")?,
                 attempt: get_field(v, "attempt")?,
@@ -862,6 +833,63 @@ impl Deserialize for ExperimentEvent {
 pub trait ExperimentObserver: Send + Sync {
     /// Handles one event.
     fn on_event(&self, event: &ExperimentEvent);
+}
+
+/// The outlet the runner and the orchestrator emit events through; a no-op
+/// with no observers, so telemetry costs nothing unless asked for.
+pub(crate) struct EventSink(Option<Sender<ExperimentEvent>>);
+
+impl EventSink {
+    pub(crate) fn send(&self, event: ExperimentEvent) {
+        if let Some(tx) = &self.0 {
+            // The drain finishes only when the sender is dropped; a send
+            // cannot fail while the run lasts, and the run must proceed
+            // regardless either way.
+            let _ = tx.send(event);
+        }
+    }
+}
+
+/// Runs `body` with an [`EventSink`] whose events a dedicated drain thread
+/// fans out to `observers`, so `on_event` never runs on a timing thread.
+/// With no observers there is no channel and no drain at all. Returns once
+/// the observers have seen every event. A panicking observer is disabled
+/// for the rest of the `run` (named in the one stderr report) so the drain
+/// and the measurement survive.
+pub(crate) fn with_event_sink<R>(
+    observers: &[Arc<dyn ExperimentObserver>],
+    run: &str,
+    body: impl FnOnce(&EventSink) -> R,
+) -> R {
+    if observers.is_empty() {
+        return body(&EventSink(None));
+    }
+    let (tx, rx) = channel::<ExperimentEvent>();
+    std::thread::scope(|scope| {
+        scope.spawn(|| drain(rx, observers, run));
+        let events = EventSink(Some(tx));
+        // Dropping the sender ends the drain loop; the scope then joins it.
+        body(&events)
+    })
+}
+
+fn drain(rx: Receiver<ExperimentEvent>, observers: &[Arc<dyn ExperimentObserver>], run: &str) {
+    let mut disabled = vec![false; observers.len()];
+    for event in rx {
+        for (idx, obs) in observers.iter().enumerate() {
+            if disabled[idx] {
+                continue;
+            }
+            if catch_unwind(AssertUnwindSafe(|| obs.on_event(&event))).is_err() {
+                disabled[idx] = true;
+                eprintln!(
+                    "rigor: observer #{idx} panicked on `{}`; \
+                     disabling it for the rest of the {run}",
+                    event.name()
+                );
+            }
+        }
+    }
 }
 
 /// Ignores every event. Useful as an explicit "no telemetry" default and in
@@ -1153,7 +1181,6 @@ impl ExperimentObserver for ProgressObserver {
             | ExperimentEvent::RegressionChecked { .. }
             | ExperimentEvent::TrendAnalyzed { .. }
             | ExperimentEvent::ChangepointDetected { .. }
-            | ExperimentEvent::CellStolen { .. }
             | ExperimentEvent::CellRefined { .. } => {}
         }
     }
@@ -1363,12 +1390,6 @@ mod tests {
                 completed: 5,
                 cells: 8,
             },
-            ExperimentEvent::CellStolen {
-                cell: "sieve/jit/10x30/42".into(),
-                index: 6,
-                from_worker: 0,
-                to_worker: 1,
-            },
             ExperimentEvent::PlanComputed {
                 campaign: "c0ffee12".into(),
                 round: 1,
@@ -1438,7 +1459,6 @@ mod tests {
             "campaign_started",
             "campaign_resumed",
             "cell_completed",
-            "cell_stolen",
             "plan_computed",
             "cell_refined",
             "budget_exhausted",

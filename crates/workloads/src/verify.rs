@@ -10,7 +10,7 @@
 //! exact cell and the expected/actual checksums.
 //!
 //! Execution of the grid is the driver's job (`rigor::verify` runs it on
-//! the campaign scheduler's work-stealing discipline); everything here is
+//! the counter pool that schedules campaign cells); everything here is
 //! pure: grid expansion, single-cell execution, manifest I/O, report
 //! construction.
 
