@@ -216,7 +216,7 @@ impl Vm {
                     let chars: Vec<String> = s.chars().map(|c| c.to_string()).collect();
                     let mut vals = Vec::with_capacity(chars.len());
                     for c in chars {
-                        let h = self.alloc(Object::Str(c));
+                        let h = self.alloc_str(c);
                         vals.push(Value::Obj(h));
                     }
                     vals
@@ -281,7 +281,7 @@ impl Vm {
                 };
                 let n = match *v {
                     Value::Obj(h) => match self.heap.get(h) {
-                        Object::Str(s) => s.chars().count() as i64,
+                        Object::Str(s) => s.char_len() as i64,
                         Object::List(v) | Object::Tuple(v) => v.len() as i64,
                         Object::Dict(d) => d.len() as i64,
                         Object::Range { start, stop, step } => {
@@ -473,7 +473,7 @@ impl Vm {
                 };
                 let s = self.heap.render(*v);
                 self.charge_aux(2.0 * s.len() as f64, false);
-                let h = self.alloc(Object::Str(s));
+                let h = self.alloc_str(s);
                 Ok(Value::Obj(h))
             }
             BuiltinFn::Bool => {
@@ -500,7 +500,7 @@ impl Vm {
                     .ok()
                     .and_then(char::from_u32)
                     .ok_or_else(|| value_err("chr() arg not in range"))?;
-                let h = self.alloc(Object::Str(c.to_string()));
+                let h = self.alloc_str(c.to_string());
                 Ok(Value::Obj(h))
             }
             BuiltinFn::Ord => {
@@ -1015,7 +1015,7 @@ impl Vm {
                 };
                 let mut out = Vec::with_capacity(parts.len());
                 for p in parts {
-                    let sh = self.alloc(Object::Str(p));
+                    let sh = self.alloc_str(p);
                     out.push(Value::Obj(sh));
                 }
                 let l = self.alloc(Object::List(out));
@@ -1035,21 +1035,21 @@ impl Vm {
                         }
                     }
                 }
-                let joined = parts.join(&content);
+                let joined = parts.join(content.as_str());
                 self.charge_aux(2.0 * joined.len() as f64, true);
-                let sh = self.alloc(Object::Str(joined));
+                let sh = self.alloc_str(joined);
                 Ok(Value::Obj(sh))
             }
             MethodId::Upper => {
-                let sh = self.alloc(Object::Str(content.to_uppercase()));
+                let sh = self.alloc_str(content.to_uppercase());
                 Ok(Value::Obj(sh))
             }
             MethodId::Lower => {
-                let sh = self.alloc(Object::Str(content.to_lowercase()));
+                let sh = self.alloc_str(content.to_lowercase());
                 Ok(Value::Obj(sh))
             }
             MethodId::Strip => {
-                let sh = self.alloc(Object::Str(content.trim().to_string()));
+                let sh = self.alloc_str(content.trim().to_string());
                 Ok(Value::Obj(sh))
             }
             MethodId::Replace => {
@@ -1067,7 +1067,7 @@ impl Vm {
                 if from.is_empty() {
                     return Err(value_err("empty pattern"));
                 }
-                let sh = self.alloc(Object::Str(content.replace(&from, &to)));
+                let sh = self.alloc_str(content.replace(&from, &to));
                 Ok(Value::Obj(sh))
             }
             MethodId::StartsWith | MethodId::EndsWith => {
@@ -1106,7 +1106,7 @@ impl Vm {
                     .str_content(*p)
                     .ok_or_else(|| MpError::type_error("count() argument must be str"))?;
                 if p.is_empty() {
-                    return Ok(Value::Int(content.chars().count() as i64 + 1));
+                    return Ok(Value::Int(content.char_len() as i64 + 1));
                 }
                 Ok(Value::Int(content.matches(p).count() as i64))
             }
@@ -1214,10 +1214,10 @@ impl Vm {
                     }
                 }
                 Object::Str(s) => {
-                    let c = s.chars().nth(index);
+                    let c = s.char_at(index);
                     match c {
                         Some(c) => {
-                            let sh = self.alloc(Object::Str(c.to_string()));
+                            let sh = self.alloc_str(c.to_string());
                             (
                                 IterState::Seq {
                                     seq,

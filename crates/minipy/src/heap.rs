@@ -20,11 +20,93 @@ pub enum IterState {
     DictKeys { dict: Handle, slot: usize },
 }
 
+/// An immutable MiniPy string: its text plus an "all ASCII" flag computed
+/// once, in [`Str::from`], the only constructor. The text never changes
+/// afterwards, so the flag can never go stale.
+///
+/// MiniPy indexes strings by character. For an ASCII string a character is
+/// a byte, so [`Str::char_len`], [`Str::char_at`] and [`Str::char_slice`]
+/// are O(1) byte operations; any other string walks its UTF-8 with
+/// `chars()`, O(n) per call. Equality and ordering are the text's (the
+/// flag is a function of the text), and the rest of `&str` is reachable
+/// through `Deref`.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Str {
+    text: String,
+    ascii: bool,
+}
+
+impl From<String> for Str {
+    fn from(text: String) -> Self {
+        let ascii = text.is_ascii();
+        Str { text, ascii }
+    }
+}
+
+impl std::ops::Deref for Str {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.text
+    }
+}
+
+impl Str {
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        &self.text
+    }
+
+    /// Length in characters (Python's `len`).
+    pub fn char_len(&self) -> usize {
+        if self.ascii {
+            self.text.len()
+        } else {
+            self.text.chars().count()
+        }
+    }
+
+    /// The character at character position `i`, if any.
+    pub fn char_at(&self, i: usize) -> Option<char> {
+        if self.ascii {
+            self.text.as_bytes().get(i).map(|&b| char::from(b))
+        } else {
+            self.text.chars().nth(i)
+        }
+    }
+
+    /// The characters at positions `a..b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `a <= b <= self.char_len()`.
+    pub fn char_slice(&self, a: usize, b: usize) -> &str {
+        if self.ascii {
+            return &self.text[a..b];
+        }
+        assert!(a <= b, "char_slice: start {a} after end {b}");
+        let mut offsets = self
+            .text
+            .char_indices()
+            .map(|(off, _)| off)
+            .chain(std::iter::once(self.text.len()));
+        let start = offsets.nth(a).expect("char_slice start within the string");
+        let end = if a == b {
+            start
+        } else {
+            offsets
+                .nth(b - a - 1)
+                .expect("char_slice end within the string")
+        };
+        &self.text[start..end]
+    }
+}
+
 /// A heap-allocated object.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Object {
     /// Immutable string.
-    Str(String),
+    Str(Str),
     /// Mutable list.
     List(Vec<Value>),
     /// Immutable tuple.
@@ -240,7 +322,7 @@ impl Heap {
 
     /// Allocates a string object.
     pub fn alloc_str(&mut self, s: impl Into<String>) -> Handle {
-        self.alloc(Object::Str(s.into()))
+        self.alloc(Object::Str(Str::from(s.into())))
     }
 
     /// Allocates a list object.
@@ -507,9 +589,9 @@ impl Heap {
             Value::Obj(h) => match self.get(h) {
                 Object::Str(s) => {
                     if repr {
-                        format!("'{s}'")
+                        format!("'{}'", s.as_str())
                     } else {
-                        s.clone()
+                        s.as_str().to_string()
                     }
                 }
                 Object::List(items) => {
@@ -645,8 +727,39 @@ mod tests {
     fn alloc_and_get_roundtrip() {
         let mut heap = Heap::new();
         let h = heap.alloc_str("hello");
-        assert!(matches!(heap.get(h), Object::Str(s) if s == "hello"));
+        assert!(matches!(heap.get(h), Object::Str(s) if s.as_str() == "hello"));
         assert_eq!(heap.live_count(), 1);
+    }
+
+    #[test]
+    fn str_char_access_matches_the_chars_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // One-, two-, three- and four-byte UTF-8, plus ASCII edge bytes.
+        const POOL: [char; 9] = ['a', 'Z', '0', ' ', '\u{7f}', 'é', 'ö', '€', '😀'];
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for case in 0..400 {
+            // Even cases draw from the ASCII part of the pool only.
+            let pool = if case % 2 == 0 { &POOL[..5] } else { &POOL[..] };
+            let len = rng.gen_range(0..24usize);
+            let text: String = (0..len)
+                .map(|_| pool[rng.gen_range(0..pool.len())])
+                .collect();
+            let chars: Vec<char> = text.chars().collect();
+            let s = Str::from(text.clone());
+            assert_eq!(s.as_str(), text);
+            assert_eq!(s.char_len(), chars.len(), "{text:?}");
+            for i in 0..=chars.len() + 1 {
+                assert_eq!(s.char_at(i), chars.get(i).copied(), "{text:?}[{i}]");
+            }
+            for a in 0..=chars.len() {
+                for b in a..=chars.len() {
+                    let want: String = chars[a..b].iter().collect();
+                    assert_eq!(s.char_slice(a, b), want, "{text:?}[{a}:{b}]");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1171,7 +1171,7 @@ impl Vm {
                     out.push_str(s1);
                     out.push_str(s2);
                     self.charge_aux(1.2 * out.len() as f64, true);
-                    let h = self.alloc(Object::Str(out));
+                    let h = self.alloc_str(out);
                     return Ok(Value::Obj(h));
                 }
                 (Object::List(v1), Object::List(v2)) => {
@@ -1214,7 +1214,7 @@ impl Vm {
                 }
                 let out = s.repeat(count);
                 self.charge_aux(1.2 * out.len() as f64, true);
-                let h = self.alloc(Object::Str(out));
+                let h = self.alloc_str(out);
                 Ok(Value::Obj(h))
             }
             Object::List(items) => {
@@ -1408,11 +1408,9 @@ impl Vm {
                     Ok(items[i])
                 }
                 Object::Str(s) => {
-                    // Char-indexed without materializing a Vec<char>; the
-                    // second pass is cheaper than the allocation it replaces.
-                    let i = Self::seq_index(s.chars().count(), idx, "string")?;
-                    let ch = s.chars().nth(i).expect("index checked").to_string();
-                    let sh = self.alloc(Object::Str(ch));
+                    let i = Self::seq_index(s.char_len(), idx, "string")?;
+                    let ch = s.char_at(i).expect("index checked").to_string();
+                    let sh = self.alloc_str(ch);
                     Ok(Value::Obj(sh))
                 }
                 Object::Dict(d) => {
@@ -1585,12 +1583,10 @@ impl Vm {
                     Ok(Value::Obj(nh))
                 }
                 Object::Str(s) => {
-                    // Slice by char positions without a Vec<char> scratch
-                    // buffer; only the result String is allocated.
-                    let (a, b) = Self::slice_bounds(s.chars().count(), lo, hi)?;
-                    let out: String = s.chars().skip(a).take(b - a).collect();
+                    let (a, b) = Self::slice_bounds(s.char_len(), lo, hi)?;
+                    let out = s.char_slice(a, b).to_string();
                     self.charge_aux(1.2 * out.len() as f64, true);
-                    let nh = self.alloc(Object::Str(out));
+                    let nh = self.alloc_str(out);
                     Ok(Value::Obj(nh))
                 }
                 _ => Err(MpError::type_error(format!(

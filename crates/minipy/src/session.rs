@@ -288,6 +288,54 @@ def run():
         assert_eq!(checksum, "499500");
     }
 
+    /// Character access on a non-ASCII string: every operation that takes
+    /// a character position, plus comparisons between a string built at run
+    /// time and an equal literal.
+    const NON_ASCII_SRC: &str = "\
+def run():
+    s = 'héllo wörld'
+    out = [len(s), s[1], s[-1], s[1:4], s[-3:]]
+    n = 0
+    for c in s:
+        if c == 'ö':
+            n = n + 100
+        n = n + 1
+    out.append(n)
+    chars = list(s)
+    out.append(len(chars))
+    out.append(chars[7])
+    t = 'hé' + 'llo wörld'
+    out.append(t == s)
+    out.append(t < 'hz')
+    out.append('hz' < t)
+    d = {s: 1, 'hello world': 2}
+    out.append(d[t])
+    v = 'abc' + 'é'
+    out.append(len(v))
+    out.append(v[3])
+    out.append(v[2:])
+    return out
+";
+
+    #[test]
+    fn non_ascii_strings_index_by_character_on_both_engines() {
+        let eager_jit = VmConfig {
+            engine: crate::vm::EngineKind::Jit(crate::jit::JitConfig {
+                hot_threshold: 2,
+                ..crate::jit::JitConfig::default()
+            }),
+            ..VmConfig::default()
+        };
+        let expected =
+            "[11, 'é', 'd', 'éll', 'rld', 111, 11, 'ö', True, False, True, 1, 4, 'é', 'cé']";
+        for config in [VmConfig::interp(), eager_jit] {
+            let mut s = Session::start(NON_ASCII_SRC, 3, config).unwrap();
+            for _ in 0..3 {
+                assert_eq!(s.checksum().unwrap(), expected);
+            }
+        }
+    }
+
     #[test]
     fn jit_speeds_up_hot_loop() {
         let interp = measure(COUNT_SRC, 3, VmConfig::interp(), 30).unwrap();

@@ -407,34 +407,34 @@ impl<'a> Lexer<'a> {
     fn lex_string(&mut self) -> MpResult<()> {
         let start = self.pos;
         let quote = self.bump().expect("caller saw a quote");
-        let mut out = String::new();
+        // Collected as bytes: the source is UTF-8 and every escape is
+        // ASCII, so multi-byte characters pass through whole.
+        let mut out = Vec::new();
         loop {
             match self.bump() {
                 None | Some(b'\n') => {
                     return Err(self.err("unterminated string literal"));
                 }
                 Some(b'\\') => match self.bump() {
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'\'') => out.push('\''),
-                    Some(b'"') => out.push('"'),
-                    Some(b'0') => out.push('\0'),
+                    Some(b'n') => out.push(b'\n'),
+                    Some(b't') => out.push(b'\t'),
+                    Some(b'r') => out.push(b'\r'),
+                    Some(b'\\') => out.push(b'\\'),
+                    Some(b'\'') => out.push(b'\''),
+                    Some(b'"') => out.push(b'"'),
+                    Some(b'0') => out.push(b'\0'),
                     Some(other) => {
-                        out.push('\\');
-                        out.push(other as char);
+                        out.push(b'\\');
+                        out.push(other);
                     }
                     None => return Err(self.err("unterminated string literal")),
                 },
                 Some(c) if c == quote => break,
-                Some(c) => {
-                    // Pass through raw bytes; MiniPy sources are expected to be
-                    // ASCII but we tolerate UTF-8 continuation bytes verbatim.
-                    out.push(c as char);
-                }
+                Some(c) => out.push(c),
             }
         }
+        let out =
+            String::from_utf8(out).map_err(|_| self.err("string literal is not valid UTF-8"))?;
         self.push(TokenKind::Str(out), start);
         Ok(())
     }
@@ -638,6 +638,13 @@ mod tests {
         let ks = kinds("s = \"a\\nb\"\nt = 'q\\t'\n");
         assert!(ks.contains(&TokenKind::Str("a\nb".into())));
         assert!(ks.contains(&TokenKind::Str("q\t".into())));
+    }
+
+    #[test]
+    fn non_ascii_string_literals_keep_their_characters() {
+        let ks = kinds("s = 'héllo wörld'\nt = \"€\\q😀\"\n");
+        assert!(ks.contains(&TokenKind::Str("héllo wörld".into())));
+        assert!(ks.contains(&TokenKind::Str("€\\q😀".into())));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::cost::{CostModel, OpClassTable};
 use crate::error::{MpError, MpResult, RuntimeErrorKind};
 use crate::frame::{op_class_index, DynCounters, Frame, ALL_OP_CLASSES};
 use crate::gc;
-use crate::heap::{Heap, Object};
+use crate::heap::{Heap, Object, Str};
 use crate::jit::{JitConfig, JitState};
 use crate::noise::{sample_layout_factor, NoiseConfig, OsJitter};
 use crate::value::{Handle, Value};
@@ -611,6 +611,11 @@ impl Vm {
         self.counters.allocations += 1;
         self.charge_aux(self.cost.alloc_object, true);
         self.heap.alloc(obj)
+    }
+
+    /// Allocates a string object, charging allocation cost.
+    pub(crate) fn alloc_str(&mut self, s: String) -> crate::value::Handle {
+        self.alloc(Object::Str(Str::from(s)))
     }
 
     /// Runs housekeeping due at an op boundary: GC (if armed), OS jitter,
